@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mrbc_bench::report::Table;
+use mrbc_bench::report::{percentile, Table};
 use mrbc_core::BcConfig;
 use mrbc_graph::generators;
 use mrbc_net::DetectorConfig;
@@ -81,14 +81,6 @@ fn cases(quick: bool) -> Vec<Case> {
             kills: 3,
         },
     ]
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// One chaos run: pool up, baseline scores, concurrent retrying clients

@@ -22,7 +22,7 @@
 //! Pass `--json` to also emit a machine-readable `BENCH_incr.json`
 //! (schema `mrbc-bench-incr-v1`), `--quick` for the small CI shape.
 
-use mrbc_bench::report::Table;
+use mrbc_bench::report::{percentile, Table};
 use mrbc_core::BcConfig;
 use mrbc_graph::{generators, CsrGraph};
 use mrbc_obs::json::JsonWriter;
@@ -53,7 +53,6 @@ struct Measurement {
     reuse_ratio: f64,
     /// Median over mutations of `affected_sources / n`.
     affected_fraction_p50: f64,
-    fallback_full: u64,
 }
 
 fn cases(quick: bool) -> Vec<Case> {
@@ -89,22 +88,6 @@ fn cases(quick: bool) -> Vec<Case> {
     ]
 }
 
-fn percentile_u64(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
-fn percentile_f64(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
 /// Deterministic mutation stream over the probe graph, alternating
 /// add/remove so the edge count stays roughly stable. Same derivation
 /// as the pool's churn driver so numbers line up across harnesses.
@@ -130,7 +113,6 @@ struct StreamResult {
     lat_us: Vec<u64>,
     reused: u64,
     rebuilt: u64,
-    fallback_full: u64,
     affected_fractions: Vec<f64>,
 }
 
@@ -144,7 +126,6 @@ fn run_stream(store: &EpochStore, want: usize) -> StreamResult {
         lat_us: Vec::with_capacity(want),
         reused: 0,
         rebuilt: 0,
-        fallback_full: 0,
         affected_fractions: Vec::with_capacity(want),
     };
     let mut i = 0usize;
@@ -161,7 +142,6 @@ fn run_stream(store: &EpochStore, want: usize) -> StreamResult {
         if let Some(o) = m.maintenance {
             out.reused += o.sources_reused;
             out.rebuilt += o.sources_rebuilt;
-            out.fallback_full += u64::from(o.fallback_full);
             out.affected_fractions
                 .push(o.affected as f64 / f64::from(n.max(1)));
         }
@@ -209,8 +189,8 @@ fn run_case(case: Case) -> Measurement {
         );
     }
 
-    let incr_p50 = percentile_u64(&incr.lat_us, 0.50);
-    let full_p50 = percentile_u64(&full.lat_us, 0.50);
+    let incr_p50 = percentile(&incr.lat_us, 0.50);
+    let full_p50 = percentile(&full.lat_us, 0.50);
     let denom = incr.reused + incr.rebuilt;
     Measurement {
         name: case.name,
@@ -218,17 +198,16 @@ fn run_case(case: Case) -> Measurement {
         edges,
         mutations: incr.lat_us.len() as u64,
         incr_p50_us: incr_p50,
-        incr_p99_us: percentile_u64(&incr.lat_us, 0.99),
+        incr_p99_us: percentile(&incr.lat_us, 0.99),
         full_p50_us: full_p50,
-        full_p99_us: percentile_u64(&full.lat_us, 0.99),
+        full_p99_us: percentile(&full.lat_us, 0.99),
         speedup: full_p50 as f64 / incr_p50.max(1) as f64,
         reuse_ratio: if denom == 0 {
             0.0
         } else {
             incr.reused as f64 / denom as f64
         },
-        affected_fraction_p50: percentile_f64(&incr.affected_fractions, 0.50),
-        fallback_full: incr.fallback_full,
+        affected_fraction_p50: percentile(&incr.affected_fractions, 0.50),
     }
 }
 
@@ -263,8 +242,6 @@ fn to_json(ms: &[Measurement], min_speedup: f64, within_budget: bool) -> String 
         w.float(m.reuse_ratio);
         w.key("affected_fraction_p50");
         w.float(m.affected_fraction_p50);
-        w.key("fallback_full");
-        w.number(m.fallback_full);
         w.end_object();
     }
     w.end_array();
@@ -309,7 +286,6 @@ fn main() {
             "speedup",
             "reuse",
             "affected p50",
-            "fallbacks",
         ],
     );
     let mut measurements = Vec::new();
@@ -325,7 +301,6 @@ fn main() {
             format!("{:.1}x", m.speedup),
             format!("{:.2}", m.reuse_ratio),
             format!("{:.2}", m.affected_fraction_p50),
-            m.fallback_full.to_string(),
         ]);
         measurements.push(m);
     }

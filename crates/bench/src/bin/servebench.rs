@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mrbc_bench::report::Table;
+use mrbc_bench::report::{percentile, Table};
 use mrbc_graph::generators;
 use mrbc_obs::json::JsonWriter;
 use mrbc_serve::{SchedConfig, ServeClient, ServeConfig, ServeStats};
@@ -58,14 +58,6 @@ fn cases() -> Vec<Case> {
             max_batch: 8,
         },
     ]
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// Drives one case: spawns the daemon, hammers it, reads the counters.

@@ -21,7 +21,7 @@
 
 use std::path::PathBuf;
 
-use mrbc_bench::report::Table;
+use mrbc_bench::report::{percentile, Table};
 use mrbc_core::BcConfig;
 use mrbc_graph::generators;
 use mrbc_obs::json::JsonWriter;
@@ -90,14 +90,6 @@ fn cases(quick: bool) -> Vec<Case> {
             mutations: 128,
         },
     ]
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// Deterministic mutation stream: edge (u, v) pairs over the probe

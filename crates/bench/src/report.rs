@@ -79,6 +79,15 @@ pub fn ratio(x: f64) -> String {
     format!("{x:.1}x")
 }
 
+/// Nearest-rank percentile of an ascending sample (`p` in 0..=1); the
+/// default value (0) for an empty one.
+pub fn percentile<T: Copy + Default>(sorted: &[T], p: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    sorted[((sorted.len() as f64 - 1.0) * p).round() as usize]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -338,8 +338,7 @@ fn render_stats(s: &ServeStats) -> String {
          replayed mutations: {}\n\
          sources reused:     {}\n\
          sources rebuilt:    {}\n\
-         reuse ratio:        {:.2}\n\
-         full fallbacks:     {}\n",
+         reuse ratio:        {:.2}\n",
         s.epoch,
         s.sessions,
         s.queries,
@@ -357,7 +356,6 @@ fn render_stats(s: &ServeStats) -> String {
         s.sources_reused,
         s.sources_rebuilt,
         s.reuse_ratio(),
-        s.fallback_full,
     );
     for (name, h) in &s.hists {
         out += &format!(

@@ -13,7 +13,6 @@
 //! this module.
 
 use mrbc_graph::{CsrGraph, VertexId, INF_DIST};
-use std::collections::VecDeque;
 
 /// Betweenness centrality restricted to the given sources (approximate BC
 /// in the sense of Bader et al. 2007: the betweenness scores of sampled
@@ -54,9 +53,45 @@ pub fn dependencies(g: &CsrGraph, s: VertexId) -> Vec<f64> {
 pub fn forward_counts(g: &CsrGraph, s: VertexId) -> (Vec<u32>, Vec<f64>) {
     let n = g.num_vertices();
     assert!((s as usize) < n, "source {s} out of range for {n} vertices");
-    let mut ws = Workspace::new(n);
-    ws.forward(g, s);
-    (ws.dist, ws.sigma)
+    let mut dist = vec![INF_DIST; n];
+    let mut sigma = vec![0.0; n];
+    forward_into(g, s, &mut dist, &mut sigma, &mut Vec::with_capacity(n));
+    (dist, sigma)
+}
+
+/// The forward BFS behind [`forward_counts`], writing into caller-owned
+/// buffers so per-source callers allocate nothing. Overwrites `dist` and
+/// `sigma` (length `n`) and leaves in `order` every reachable vertex in
+/// BFS visit order (non-decreasing distance). `order` doubles as the
+/// FIFO queue: a cursor walks it while the loop appends the frontier.
+pub fn forward_into(
+    g: &CsrGraph,
+    s: VertexId,
+    dist: &mut [u32],
+    sigma: &mut [f64],
+    order: &mut Vec<VertexId>,
+) {
+    dist.fill(INF_DIST);
+    sigma.fill(0.0);
+    order.clear();
+    dist[s as usize] = 0;
+    sigma[s as usize] = 1.0;
+    order.push(s);
+    let mut head = 0;
+    while let Some(&u) = order.get(head) {
+        head += 1;
+        let du = dist[u as usize];
+        let su = sigma[u as usize];
+        for &v in g.out_neighbors(u) {
+            if dist[v as usize] == INF_DIST {
+                dist[v as usize] = du + 1;
+                order.push(v);
+            }
+            if dist[v as usize] == du + 1 {
+                sigma[v as usize] += su;
+            }
+        }
+    }
 }
 
 /// Reusable per-source scratch buffers (the "workhorse collection"
@@ -67,7 +102,6 @@ struct Workspace {
     delta: Vec<f64>,
     /// Vertices in BFS visit order (non-decreasing distance).
     order: Vec<VertexId>,
-    queue: VecDeque<VertexId>,
 }
 
 impl Workspace {
@@ -77,7 +111,6 @@ impl Workspace {
             sigma: vec![0.0; n],
             delta: vec![0.0; n],
             order: Vec::with_capacity(n),
-            queue: VecDeque::new(),
         }
     }
 
@@ -92,28 +125,8 @@ impl Workspace {
     /// Forward phase: BFS from `s` computing distances, σ counts, and
     /// the visit order the backward sweep replays in reverse.
     fn forward(&mut self, g: &CsrGraph, s: VertexId) {
-        self.dist.fill(INF_DIST);
-        self.sigma.fill(0.0);
         self.delta.fill(0.0);
-        self.order.clear();
-
-        self.dist[s as usize] = 0;
-        self.sigma[s as usize] = 1.0;
-        self.queue.push_back(s);
-        while let Some(u) = self.queue.pop_front() {
-            self.order.push(u);
-            let du = self.dist[u as usize];
-            let su = self.sigma[u as usize];
-            for &v in g.out_neighbors(u) {
-                if self.dist[v as usize] == INF_DIST {
-                    self.dist[v as usize] = du + 1;
-                    self.queue.push_back(v);
-                }
-                if self.dist[v as usize] == du + 1 {
-                    self.sigma[v as usize] += su;
-                }
-            }
-        }
+        forward_into(g, s, &mut self.dist, &mut self.sigma, &mut self.order);
     }
 
     /// Backward sweep in reverse BFS order. Pull-based: `v ∈ P_s(w)` iff

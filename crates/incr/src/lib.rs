@@ -30,10 +30,10 @@
 //!    O(n · sources) flat additions and keeps bit-identity by
 //!    construction.
 //!
-//! When the affected fraction exceeds a configurable threshold the
-//! engine falls back to rebuilding every source (`fallback_full`): the
-//! result is still bit-identical, the fallback is purely a cost
-//! decision. See DESIGN.md §16.
+//! One allocation-free kernel, `rebuild_into`, serves both
+//! [`IncrEngine::build`] and [`IncrEngine::apply`]: it overwrites a
+//! source's existing buffers in place, and `apply` runs it on exactly
+//! the sources the cone test marks affected. See DESIGN.md §16.
 
 use mrbc_core::brandes;
 use mrbc_graph::{CsrGraph, VertexId, INF_DIST};
@@ -58,10 +58,6 @@ pub struct IncrConfig {
     /// O(n²) memory (three length-n arrays per source), so the serving
     /// tier only opts in below this bound.
     pub max_vertices: usize,
-    /// Fall back to a full rebuild when more than this fraction of
-    /// sources is affected — at that point per-source reuse no longer
-    /// pays for the bookkeeping.
-    pub fallback_fraction: f64,
 }
 
 impl Default for IncrConfig {
@@ -69,24 +65,24 @@ impl Default for IncrConfig {
         IncrConfig {
             enabled: true,
             max_vertices: 1024,
-            fallback_fraction: 0.5,
         }
     }
 }
 
 /// What one [`IncrEngine::apply`] call did, for the serving tier's
-/// `sources_reused` / `sources_rebuilt` / `fallback_full` counters.
+/// `sources_reused` / `sources_rebuilt` counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IncrOutcome {
     /// Sources whose cached artifacts survived the epoch bump untouched.
     pub sources_reused: u64,
-    /// Sources rebuilt with the canonical kernel this epoch.
+    /// Sources rebuilt with the canonical kernel this epoch (always
+    /// equal to `affected`).
     pub sources_rebuilt: u64,
-    /// Sources the cone test marked affected (before any fallback
-    /// widening) — the numerator of the affected fraction.
+    /// Sources the cone test marked affected.
     pub affected: u64,
-    /// True when the affected fraction exceeded the threshold and the
-    /// engine rebuilt every source instead.
+    /// Always `false`: the engine has no full-rebuild fallback. Kept
+    /// only so the repository benchmark (`perfbench`), which reads it,
+    /// still builds.
     pub fallback_full: bool,
 }
 
@@ -104,13 +100,14 @@ pub struct SourceArtifacts {
     pub delta: Vec<f64>,
 }
 
-/// Rebuild one source from scratch with the canonical kernel: Brandes
-/// forward pass, then the backward fold in exactly the floating-point
-/// order the distributed MRBC engine uses (see [`canonical_backward`]).
-pub fn canonical_source(g: &CsrGraph, s: VertexId) -> SourceArtifacts {
-    let (dist, sigma) = brandes::forward_counts(g, s);
-    let delta = canonical_backward(g, &dist, &sigma);
-    SourceArtifacts { dist, sigma, delta }
+/// Rebuild one source from scratch with the canonical kernel, in place:
+/// the queue-free Brandes forward pass ([`brandes::forward_into`]), then
+/// the backward fold over the forward pass's own visit order. Every
+/// buffer of `art` is overwritten; `order` is caller-owned scratch, so a
+/// loop over sources allocates nothing.
+fn rebuild_into(g: &CsrGraph, s: VertexId, art: &mut SourceArtifacts, order: &mut Vec<VertexId>) {
+    brandes::forward_into(g, s, &mut art.dist, &mut art.sigma, order);
+    backward_into(g, &art.dist, &art.sigma, order, &mut art.delta);
 }
 
 /// The backward dependency fold, bit-compatible with the distributed
@@ -130,38 +127,50 @@ pub fn canonical_source(g: &CsrGraph, s: VertexId) -> SourceArtifacts {
 /// and batch size. (The sequential Brandes oracle in `mrbc-core` uses a
 /// different association — `σ(u)/σ(w) · (1 + δ(w))` — which is equal in
 /// exact arithmetic but not in floats; it must not be used here.)
+///
+/// A thin wrapper over the kernel `rebuild_into` runs: a counting sort
+/// by distance supplies the order the forward pass would have recorded.
 pub fn canonical_backward(g: &CsrGraph, dist: &[u32], sigma: &[f64]) -> Vec<f64> {
-    let n = g.num_vertices();
-    let mut delta = vec![0.0f64; n];
-    // Bucket reachable vertices by BFS level; process levels deepest
-    // first so every successor's δ is final before it is read.
-    let mut max_d = 0u32;
-    for &d in dist {
-        if d != INF_DIST && d > max_d {
-            max_d = d;
+    let mut start = Vec::new();
+    for &d in dist.iter().filter(|&&d| d != INF_DIST) {
+        if start.len() <= d as usize + 1 {
+            start.resize(d as usize + 2, 0usize);
         }
+        start[d as usize + 1] += 1;
     }
-    let mut levels: Vec<Vec<VertexId>> = vec![Vec::new(); max_d as usize + 1];
-    for (v, &d) in dist.iter().enumerate() {
-        if d != INF_DIST {
-            levels[d as usize].push(v as VertexId);
-        }
+    for i in 1..start.len() {
+        start[i] += start[i - 1];
     }
-    for level in levels.iter().rev() {
-        for &u in level {
-            let du = dist[u as usize];
-            let su = sigma[u as usize];
-            let mut acc = 0.0f64;
-            for &w in g.out_neighbors(u) {
-                if dist[w as usize] == du + 1 {
-                    let m = (1.0 + delta[w as usize]) / sigma[w as usize];
-                    acc += su * m;
-                }
-            }
-            delta[u as usize] = acc;
-        }
+    let mut order = vec![0; start.last().copied().unwrap_or(0)];
+    for (v, &d) in dist.iter().enumerate().filter(|&(_, &d)| d != INF_DIST) {
+        order[start[d as usize]] = v as VertexId;
+        start[d as usize] += 1;
     }
+    let mut delta = vec![0.0; dist.len()];
+    backward_into(g, dist, sigma, &order, &mut delta);
     delta
+}
+
+/// The backward loop shared by `rebuild_into` and
+/// [`canonical_backward`]: walks `order` (reachable vertices in
+/// non-decreasing distance) in reverse, so every successor's δ is final
+/// before it is read. δ(u) depends only on its successors' values, never
+/// on the order of `u`'s level-mates, so any such order gives the same
+/// bits. Unreachable vertices get δ = 0.
+fn backward_into(g: &CsrGraph, dist: &[u32], sigma: &[f64], order: &[VertexId], delta: &mut [f64]) {
+    delta.fill(0.0);
+    for &u in order.iter().rev() {
+        let next = dist[u as usize] + 1;
+        let su = sigma[u as usize];
+        let mut acc = 0.0f64;
+        for &w in g.out_neighbors(u) {
+            if dist[w as usize] == next {
+                let m = (1.0 + delta[w as usize]) / sigma[w as usize];
+                acc += su * m;
+            }
+        }
+        delta[u as usize] = acc;
+    }
 }
 
 /// Decide whether a mutation of edge `(u, v)` can change source `s`'s
@@ -200,8 +209,19 @@ impl IncrEngine {
     /// canonical kernel, then the ascending-source BC fold.
     pub fn build(g: &CsrGraph) -> IncrEngine {
         let n = g.num_vertices();
-        let per_source: Vec<SourceArtifacts> =
-            (0..n).map(|s| canonical_source(g, s as VertexId)).collect();
+        let mut order = Vec::with_capacity(n);
+        let blank = SourceArtifacts {
+            dist: vec![INF_DIST; n],
+            sigma: vec![0.0; n],
+            delta: vec![0.0; n],
+        };
+        let per_source = (0..n as VertexId)
+            .map(|s| {
+                let mut art = blank.clone();
+                rebuild_into(g, s, &mut art, &mut order);
+                art
+            })
+            .collect();
         let mut engine = IncrEngine {
             per_source,
             bc: vec![0.0; n],
@@ -227,59 +247,55 @@ impl IncrEngine {
     }
 
     /// Maintain the epoch across one edge mutation. `g` is the
-    /// *post-mutation* graph; the affected-source test runs against the
-    /// cached pre-mutation distances, then affected sources are rebuilt
-    /// on `g` and the BC vector is re-folded. When the affected
-    /// fraction exceeds `cfg.fallback_fraction`, every source is
-    /// rebuilt instead (same bits, different cost profile).
+    /// *post-mutation* graph; each source's cone test runs against its
+    /// cached pre-mutation distances, exactly the affected sources are
+    /// rebuilt in place on `g`, and the BC vector is re-folded. No
+    /// configuration field changes what `apply` does; the parameter is
+    /// kept for callers' source compatibility.
     pub fn apply(
         &mut self,
         g: &CsrGraph,
         op: EdgeOp,
         u: VertexId,
         v: VertexId,
-        cfg: &IncrConfig,
+        _cfg: &IncrConfig,
     ) -> IncrOutcome {
         let n = self.per_source.len();
         assert_eq!(g.num_vertices(), n, "mutations never change the vertex set");
-        let affected: Vec<VertexId> = (0..n as VertexId)
-            .filter(|&s| source_affected(&self.per_source[s as usize].dist, op, u, v))
-            .collect();
-        let fallback_full = n > 0 && (affected.len() as f64) > cfg.fallback_fraction * (n as f64);
-        let rebuilt: u64;
-        if fallback_full {
-            for s in 0..n {
-                self.per_source[s] = canonical_source(g, s as VertexId);
+        let mut order = Vec::with_capacity(n);
+        let mut rebuilt = 0u64;
+        for (s, art) in self.per_source.iter_mut().enumerate() {
+            if source_affected(&art.dist, op, u, v) {
+                rebuild_into(g, s as VertexId, art, &mut order);
+                rebuilt += 1;
             }
-            rebuilt = n as u64;
-        } else {
-            for &s in &affected {
-                self.per_source[s as usize] = canonical_source(g, s);
-            }
-            rebuilt = affected.len() as u64;
         }
         self.refold_bc();
         IncrOutcome {
             sources_reused: n as u64 - rebuilt,
             sources_rebuilt: rebuilt,
-            affected: affected.len() as u64,
-            fallback_full,
+            affected: rebuilt,
+            fallback_full: false,
         }
     }
 
     /// Re-fold `BC(v) = Σ_{s ≠ v} δ_s(v)` in ascending source order —
     /// the exact per-element addition sequence of the driver's full-BC
-    /// fold (sources ascending, self term skipped).
+    /// fold (sources ascending, self term skipped). Row-major: each δ
+    /// row is added into `bc` in turn, which gives every `v` the same
+    /// addition sequence as a per-`v` column walk while reading memory
+    /// sequentially.
     fn refold_bc(&mut self) {
-        let n = self.per_source.len();
-        for v in 0..n {
-            let mut acc = 0.0f64;
-            for (s, art) in self.per_source.iter().enumerate() {
-                if s != v {
-                    acc += art.delta[v];
-                }
+        self.bc.fill(0.0);
+        for (s, art) in self.per_source.iter().enumerate() {
+            let (bc_lo, bc_hi) = self.bc.split_at_mut(s);
+            let (d_lo, d_hi) = art.delta.split_at(s);
+            for (b, d) in bc_lo.iter_mut().zip(d_lo) {
+                *b += d;
             }
-            self.bc[v] = acc;
+            for (b, d) in bc_hi.iter_mut().zip(d_hi).skip(1) {
+                *b += d;
+            }
         }
     }
 }
@@ -290,6 +306,7 @@ mod tests {
     use mrbc_core::{bc as driver_bc, Algorithm, BcConfig};
     use mrbc_graph::generators::{self, RmatConfig, RoadNetworkConfig};
     use mrbc_graph::GraphBuilder;
+    use proptest::prelude::*;
 
     fn bits(xs: &[f64]) -> Vec<u64> {
         xs.iter().map(|x| x.to_bits()).collect()
@@ -410,91 +427,144 @@ mod tests {
         }
     }
 
+    /// One source's artifacts as raw bits.
+    fn art_bits(a: &SourceArtifacts) -> Vec<u64> {
+        let dist = a.dist.iter().map(|&d| u64::from(d));
+        dist.chain(bits(&a.sigma)).chain(bits(&a.delta)).collect()
+    }
+
+    /// The BC vector and every source's artifacts, as raw bits.
+    fn engine_bits(e: &IncrEngine) -> Vec<Vec<u64>> {
+        let arts = (0..e.num_vertices() as VertexId).map(|s| art_bits(e.source(s)));
+        std::iter::once(bits(e.bc())).chain(arts).collect()
+    }
+
+    /// Flips edge `(u, v)` of `g` (removes it if present, else adds it)
+    /// on a copy of `engine` and checks the result against a fresh build:
+    /// the same bits, exactly the affected sources rebuilt, and every
+    /// source the cone test spares bitwise frozen. Returns the engine,
+    /// graph and outcome after the flip.
+    fn checked_flip(
+        engine: &IncrEngine,
+        g: &CsrGraph,
+        (u, v): (VertexId, VertexId),
+        label: &str,
+    ) -> (IncrEngine, CsrGraph, IncrOutcome) {
+        let op = if g.has_edge(u, v) {
+            EdgeOp::Remove
+        } else {
+            EdgeOp::Add
+        };
+        let g2 = mutate_graph(g, op, u, v);
+        let mut next = engine.clone();
+        let out = next.apply(&g2, op, u, v, &IncrConfig::default());
+        let fresh = IncrEngine::build(&g2);
+        assert!(
+            engine_bits(&next) == engine_bits(&fresh),
+            "{label}: differs from a build"
+        );
+        let mut spared = 0;
+        for s in 0..g.num_vertices() as VertexId {
+            if !source_affected(&engine.source(s).dist, op, u, v) {
+                let (was, now) = (art_bits(engine.source(s)), art_bits(fresh.source(s)));
+                assert!(was == now, "{label}: spared source {s} changed");
+                spared += 1;
+            }
+        }
+        let counts = (out.sources_reused, out.sources_rebuilt, out.fallback_full);
+        assert_eq!(counts, (spared, out.affected, false), "{label}");
+        (next, g2, out)
+    }
+
     /// Exhaustive cone-test soundness and bit-identity: every digraph on
-    /// 3 vertices, every applicable single-edge mutation. Each `apply`
-    /// must match a fresh rebuild, and every source the test marks
-    /// unaffected must really be bitwise unchanged.
+    /// 3 or 4 vertices under every single-edge flip (64 × 6 and
+    /// 4096 × 12), and every 3-vertex digraph under every ordered pair of
+    /// flips (64 × 6 × 6). Each step must match a fresh build bit for
+    /// bit, and every source the cone test spares must be bitwise frozen.
+    /// Runs in about 0.3 s in the debug test profile.
     #[test]
     fn exhaustive_small_digraphs_every_mutation() {
-        let n = 3usize;
-        let pairs: Vec<(VertexId, VertexId)> = (0..n as VertexId)
-            .flat_map(|u| (0..n as VertexId).map(move |v| (u, v)))
-            .filter(|&(u, v)| u != v)
-            .collect();
-        let cfg = IncrConfig::default();
-        for mask in 0..(1u32 << pairs.len()) {
-            let edges: Vec<(VertexId, VertexId)> = pairs
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| mask & (1 << i) != 0)
-                .map(|(_, &p)| p)
+        for n in [3usize, 4] {
+            let pairs: Vec<(VertexId, VertexId)> = (0..n as VertexId)
+                .flat_map(|u| (0..n as VertexId).map(move |v| (u, v)))
+                .filter(|&(u, v)| u != v)
                 .collect();
-            let g = GraphBuilder::new(n).edges(edges.iter().copied()).build();
-            let base = IncrEngine::build(&g);
-            for &(u, v) in &pairs {
-                let op = if g.has_edge(u, v) {
-                    EdgeOp::Remove
-                } else {
-                    EdgeOp::Add
-                };
-                let g2 = mutate_graph(&g, op, u, v);
-                let mut engine = base.clone();
-                let out = engine.apply(&g2, op, u, v, &cfg);
-                let fresh = IncrEngine::build(&g2);
-                assert_eq!(bits(engine.bc()), bits(fresh.bc()), "mask={mask:#b}");
-                for s in 0..n as VertexId {
-                    if !source_affected(&base.source(s).dist, op, u, v) {
-                        // Soundness of the exactness claim: unaffected
-                        // sources are bitwise frozen.
-                        assert_eq!(base.source(s).dist, fresh.source(s).dist);
-                        assert_eq!(bits(&base.source(s).sigma), bits(&fresh.source(s).sigma));
-                        assert_eq!(bits(&base.source(s).delta), bits(&fresh.source(s).delta));
+            for mask in 0..1u32 << pairs.len() {
+                let edges = pairs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| mask & (1 << i) != 0);
+                let g = GraphBuilder::new(n).edges(edges.map(|(_, &p)| p)).build();
+                let base = IncrEngine::build(&g);
+                for &first in &pairs {
+                    let label = format!("n={n} mask={mask:#b} flip {first:?}");
+                    let (mid, g1, _) = checked_flip(&base, &g, first, &label);
+                    for &second in pairs.iter().filter(|_| n == 3) {
+                        checked_flip(&mid, &g1, second, &format!("{label} then {second:?}"));
                     }
                 }
-                assert!(out.sources_rebuilt + out.sources_reused == n as u64);
             }
         }
     }
 
-    /// The fallback threshold is honoured: fraction 0 forces every
-    /// mutation to a full rebuild, fraction 1 never falls back.
+    /// With the full-rebuild fallback gone, a flip that affects more than
+    /// half the sources still rebuilds exactly the affected ones and
+    /// lands on the bits of a fresh build. A road grid (large diameter,
+    /// wide cones) supplies such flips.
     #[test]
-    fn fallback_threshold_controls_rebuild_scope() {
-        let g = generators::rmat(RmatConfig::new(5, 8), 29);
-        let (op, u, v) = (0..)
-            .find_map(|i| probe_mutation(&g, i))
-            .expect("probe stream yields a mutation");
-        let g2 = mutate_graph(&g, op, u, v);
+    fn wide_cone_flips_rebuild_exactly_the_affected_sources() {
+        let mut g = generators::grid_road_network(RoadNetworkConfig::new(4, 8), 5);
+        let mut engine = IncrEngine::build(&g);
+        let mut wide = 0;
+        for i in 0..48 {
+            if let Some((_, u, v)) = probe_mutation(&g, i) {
+                let out;
+                (engine, g, out) = checked_flip(&engine, &g, (u, v), &format!("step {i}"));
+                wide += usize::from(2 * out.affected > g.num_vertices() as u64);
+            }
+        }
+        assert!(wide > 0, "no flip affected more than half the sources");
+    }
 
-        let mut eager = IncrEngine::build(&g);
-        let out = eager.apply(
-            &g2,
-            op,
-            u,
-            v,
-            &IncrConfig {
-                fallback_fraction: 0.0,
-                ..IncrConfig::default()
-            },
-        );
-        assert!(out.fallback_full);
-        assert_eq!(out.sources_rebuilt, g.num_vertices() as u64);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
 
-        let mut lazy = IncrEngine::build(&g);
-        let out = lazy.apply(
-            &g2,
-            op,
-            u,
-            v,
-            &IncrConfig {
-                fallback_fraction: 1.0,
-                ..IncrConfig::default()
-            },
-        );
-        assert!(!out.fallback_full);
-        assert_eq!(out.sources_rebuilt, out.affected);
-        // Both paths land on the same bits.
-        assert_eq!(bits(eager.bc()), bits(lazy.bc()));
+        /// A mid-size mutation stream stays bit-identical to a fresh
+        /// build: 48 flips on R-MAT scale 8 (n = 256) and on a 12 × 24
+        /// road grid (n = 288), alternating the removal of a random
+        /// existing edge with the insertion of a random absent one,
+        /// compared on BC and all three artifacts every 8 steps.
+        #[test]
+        fn prop_mutation_stream_matches_fresh_build(seed in 0u64..1 << 32) {
+            for mut g in [
+                generators::rmat(RmatConfig::new(8, 8), seed),
+                generators::grid_road_network(RoadNetworkConfig::new(12, 24), seed),
+            ] {
+                let (n, mut draw) = (g.num_vertices() as u64, seed);
+                let mut engine = IncrEngine::build(&g);
+                for step in 1..=48 {
+                    let remove = step % 2 == 1;
+                    let (u, v) = loop {
+                        draw = mrbc_util::splitmix64(draw);
+                        let (u, v) = ((draw % n) as VertexId, ((draw >> 32) % n) as VertexId);
+                        let pick = match remove {
+                            true => g.edges().nth((draw % g.num_edges() as u64) as usize),
+                            false => Some((u, v)).filter(|_| u != v && !g.has_edge(u, v)),
+                        };
+                        if let Some(edge) = pick {
+                            break edge;
+                        }
+                    };
+                    let op = if remove { EdgeOp::Remove } else { EdgeOp::Add };
+                    g = mutate_graph(&g, op, u, v);
+                    engine.apply(&g, op, u, v, &IncrConfig::default());
+                    if step % 8 == 0 {
+                        let fresh = IncrEngine::build(&g);
+                        prop_assert!(engine_bits(&engine) == engine_bits(&fresh), "step {}", step);
+                    }
+                }
+            }
+        }
     }
 
     /// Mutations touching a vertex unreachable from `s` leave `s`

@@ -846,17 +846,18 @@ fn worker_reader_loop(
     conn.drain_dead();
 }
 
-/// Sends `req` on `conn` (untraced — pool housekeeping traffic) and
-/// waits up to `timeout_ms` for its answer.
+/// Sends `req` on `conn` carrying `ctx` ([`TraceCtx::NONE`] for pool
+/// housekeeping traffic) and waits up to `timeout_ms` for its answer.
 fn call_conn(
     shared: &Arc<PoolShared>,
     conn: &Arc<WorkerConn>,
+    ctx: TraceCtx,
     req: &Request,
     timeout_ms: u64,
 ) -> Option<Response> {
     let (tx, rx) = mpsc::channel();
     let id = shared.fresh_id();
-    conn.send(id, TraceCtx::NONE, req, tx).ok()?;
+    conn.send(id, ctx, req, tx).ok()?;
     match rx.recv_timeout(Duration::from_millis(timeout_ms)) {
         Ok(WorkerReply::Answer(resp)) => Some(resp),
         _ => None,
@@ -895,7 +896,7 @@ fn bring_up_worker(
     let hello = Request::Hello {
         generation: shared.generation,
     };
-    let welcome = call_conn(shared, &conn, &hello, HANDSHAKE_MS);
+    let welcome = call_conn(shared, &conn, TraceCtx::NONE, &hello, HANDSHAKE_MS);
     let t2 = obs::now_us();
     let Some(Response::Welcome {
         vertices,
@@ -923,7 +924,8 @@ fn bring_up_worker(
             Err(_) => return abort(backend, io::Error::other("mutation log poisoned")),
         };
         for &(op, u, v) in log.iter() {
-            let replayed = call_conn(shared, &conn, &Request::Mutate { op, u, v }, HANDSHAKE_MS);
+            let req = Request::Mutate { op, u, v };
+            let replayed = call_conn(shared, &conn, TraceCtx::NONE, &req, HANDSHAKE_MS);
             let Some(Response::Mutated { epoch, .. }) = replayed else {
                 conn.drain_dead();
                 drop(log);
@@ -1076,7 +1078,7 @@ fn supervise_loop(shared: &Arc<PoolShared>, mut spawner: WorkerSpawn, faults: Op
     for rank in 0..shared.workers {
         let said_bye = shared
             .conn_of(rank)
-            .map(|conn| call_conn(shared, &conn, &Request::Shutdown, 500).is_some())
+            .map(|conn| call_conn(shared, &conn, TraceCtx::NONE, &Request::Shutdown, 500).is_some())
             .unwrap_or(false);
         if said_bye {
             if let Ok(mut backend) = shared.slots[rank].backend.lock() {
@@ -1221,7 +1223,7 @@ fn churn_loop(shared: &Arc<PoolShared>, clause: ChurnFault) {
             if shared.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            match broadcast_mutate(shared, op, u, v) {
+            match broadcast_mutate(shared, TraceCtx::NONE, op, u, v) {
                 Response::Mutated { .. } | Response::Error { .. } => break,
                 Response::WalFault { .. } => return,
                 _ => thread::sleep(Duration::from_millis(5)),
@@ -1359,7 +1361,9 @@ fn aggregate_stats(shared: &Arc<PoolShared>) -> Response {
         let Some(conn) = shared.conn_of(rank) else {
             continue;
         };
-        if let Some(Response::Stats(s)) = call_conn(shared, &conn, &Request::Stats, 2_000) {
+        if let Some(Response::Stats(s)) =
+            call_conn(shared, &conn, TraceCtx::NONE, &Request::Stats, 2_000)
+        {
             total.epoch = total.epoch.max(s.epoch);
             total.queries += s.queries;
             total.source_queries += s.source_queries;
@@ -1374,7 +1378,6 @@ fn aggregate_stats(shared: &Arc<PoolShared>) -> Response {
             // represent the pool — summing would multiply by fan-out.
             total.sources_reused = total.sources_reused.max(s.sources_reused);
             total.sources_rebuilt = total.sources_rebuilt.max(s.sources_rebuilt);
-            total.fallback_full = total.fallback_full.max(s.fallback_full);
             total.queue_depth += s.queue_depth;
             total.merge_hists(&s);
             answered = true;
@@ -1404,7 +1407,6 @@ fn aggregate_stats(shared: &Arc<PoolShared>) -> Response {
         total.mutations = total.mutations.max(base.mutations);
         total.sources_reused = total.sources_reused.max(base.sources_reused);
         total.sources_rebuilt = total.sources_rebuilt.max(base.sources_rebuilt);
-        total.fallback_full = total.fallback_full.max(base.fallback_full);
         total.sessions += base.sessions;
         total.hedge_fired += base.hedge_fired;
         total.failover_attempts += base.failover_attempts;
@@ -1415,8 +1417,16 @@ fn aggregate_stats(shared: &Arc<PoolShared>) -> Response {
 }
 
 /// Broadcasts a mutation to every live worker in rank order, holding the
-/// mutation-log lock so recovery replay serializes against it.
-fn broadcast_mutate(shared: &Arc<PoolShared>, op: MutateOp, u: u32, v: u32) -> Response {
+/// mutation-log lock so recovery replay serializes against it. Each
+/// worker receives `ctx`, so its `serve.query` span joins the client's
+/// trace.
+fn broadcast_mutate(
+    shared: &Arc<PoolShared>,
+    ctx: TraceCtx,
+    op: MutateOp,
+    u: u32,
+    v: u32,
+) -> Response {
     let Ok(mut log) = shared.mutation_log.lock() else {
         return shared.retry();
     };
@@ -1429,6 +1439,7 @@ fn broadcast_mutate(shared: &Arc<PoolShared>, op: MutateOp, u: u32, v: u32) -> R
         let resp = call_conn(
             shared,
             &conn,
+            ctx,
             &Request::Mutate { op, u, v },
             shared.dispatch_timeout_ms,
         );
@@ -1608,7 +1619,7 @@ fn route(shared: &Arc<PoolShared>, ctx: TraceCtx, req: &Request) -> Response {
                 .arg("parent", ctx.parent);
             let down = ctx.child(span_id);
             match req {
-                Request::Mutate { op, u, v } => broadcast_mutate(shared, *op, *u, *v),
+                Request::Mutate { op, u, v } => broadcast_mutate(shared, down, *op, *u, *v),
                 Request::SubsetBc { epoch, sources } => {
                     fan_out_subset(shared, down, *epoch, sources)
                 }
@@ -1838,6 +1849,31 @@ mod tests {
         assert_eq!(e_a, 2, "shard 0 worker applied the mutation");
         assert_eq!(e_b, 2, "shard 1 worker applied the mutation");
         assert_eq!(pool.epoch(), 2);
+    }
+
+    /// A traced client mutation reaches every worker under the client's
+    /// trace id, so `obs merge` can stitch the broadcast's worker spans
+    /// under the front-end's `pool.route` span.
+    #[test]
+    fn traced_mutation_joins_the_clients_trace() {
+        let pool = test_pool(2);
+        let mut c = quick_client(pool.local_addr());
+        mrbc_obs::install("pool-traced-mutation");
+        let ctx = TraceCtx::root();
+        let mutate = Request::Mutate {
+            op: MutateOp::AddEdge,
+            u: 0,
+            v: 5,
+        };
+        let resp = c.call_traced(ctx, &mutate).expect("mutate");
+        let rec = mrbc_obs::uninstall().expect("recorder installed");
+        assert!(matches!(resp, Response::Mutated { applied: true, .. }));
+        let joined = rec
+            .events()
+            .iter()
+            .filter(|e| e.name == "serve.query" && e.args.contains(&("trace", ctx.trace)))
+            .count();
+        assert_eq!(joined, 2, "each worker's Mutate span carries the trace id");
     }
 
     #[test]

@@ -39,7 +39,9 @@ pub const SERVE_MAGIC: u32 = 0x5653_524D;
 /// lost; maps to exit code 8).
 /// v4: epoch-maintenance counters in Stats (`sources_reused` /
 /// `sources_rebuilt` / `fallback_full` from the incremental engine).
-pub const SERVE_VERSION: u32 = 4;
+/// v5: `fallback_full` dropped from Stats (the engine no longer has a
+/// full-rebuild fallback).
+pub const SERVE_VERSION: u32 = 5;
 
 /// Trace correlation context carried on every request: the originating
 /// query's trace id and the span id of the sender's enclosing span.
@@ -228,9 +230,6 @@ pub struct ServeStats {
     pub sources_reused: u64,
     /// Per-source artifacts the maintenance engine rebuilt.
     pub sources_rebuilt: u64,
-    /// Mutations that tripped the engine's full-rebuild fallback
-    /// (affected fraction over threshold).
-    pub fallback_full: u64,
     /// Per-phase latency histograms (`serve.queue_us`, `serve.exec_us`,
     /// `serve.total_us`), mergeable across workers; sorted by name.
     pub hists: Vec<(String, Histogram)>,
@@ -298,7 +297,6 @@ pub fn encode_stats(w: &mut WireWriter, s: &ServeStats) {
     w.u64(s.replay_mutations);
     w.u64(s.sources_reused);
     w.u64(s.sources_rebuilt);
-    w.u64(s.fallback_full);
     w.u32(s.hists.len() as u32);
     for (name, h) in &s.hists {
         w.bytes(name.as_bytes());
@@ -333,7 +331,6 @@ pub fn decode_stats(r: &mut WireReader<'_>) -> Result<ServeStats, WireError> {
         replay_mutations: r.u64()?,
         sources_reused: r.u64()?,
         sources_rebuilt: r.u64()?,
-        fallback_full: r.u64()?,
         hists: Vec::new(),
     };
     let nhists = r.u32()? as usize;
@@ -926,7 +923,6 @@ mod tests {
                 replay_mutations: 4,
                 sources_reused: 120,
                 sources_rebuilt: 8,
-                fallback_full: 1,
                 hists: {
                     let mut h = Histogram::default();
                     h.record(120);

@@ -90,9 +90,6 @@ pub struct Counters {
     pub sources_reused: AtomicU64,
     /// Per-source artifacts rebuilt by the maintenance engine.
     pub sources_rebuilt: AtomicU64,
-    /// Mutations where the affected fraction tripped the engine's
-    /// full-rebuild fallback.
-    pub fallback_full: AtomicU64,
     /// Accepted client sessions.
     pub sessions: AtomicU64,
     /// Per-phase latency histograms. Always on — the log-bucketed
@@ -145,7 +142,6 @@ impl Counters {
             mutations: self.mutations.load(Ordering::Relaxed),
             sources_reused: self.sources_reused.load(Ordering::Relaxed),
             sources_rebuilt: self.sources_rebuilt.load(Ordering::Relaxed),
-            fallback_full: self.fallback_full.load(Ordering::Relaxed),
             sessions: self.sessions.load(Ordering::Relaxed),
             queue_depth,
             hedge_fired: 0,

@@ -9,10 +9,12 @@
 //!
 //! Cached artifacts:
 //!
-//! * the **full BC vector** (all `n` sources through
-//!   [`mrbc_core::driver::bc`], whose internal Lemma-8 `k`-batching is
-//!   exactly what the offline CLI runs — the serving-parity contract),
-//!   computed lazily on the first `bc(v)` / `top_k` of an epoch;
+//! * the **full BC vector**, computed lazily on the first `bc(v)` /
+//!   `top_k` of an epoch. For graphs the incremental engine admits
+//!   (n ≤ [`IncrConfig::max_vertices`], 1024 by default) it comes from
+//!   [`IncrEngine::build`]'s canonical per-source kernel; larger graphs
+//!   run all `n` sources through [`mrbc_core::driver::bc`]. The two are
+//!   bit-identical (the serving-parity contract);
 //! * **per-source forward artifacts** `(dist, σ)` from
 //!   [`mrbc_core::brandes::forward_counts`], cached per source so
 //!   repeated `dist(s, ·)` probes from one source pay one BFS;
