@@ -40,23 +40,22 @@ USAGE:
       (normally spawned by `mrbc launch`, speaks the stdio control
       protocol; see `mrbc_net::launch` docs)
   mrbc checkpoint-info <dir> [--rank R]   validate a checkpoint directory
-  mrbc serve <file> [--port P] [--addr A] [--hosts H] [--batch B]
-                    [--queue Q] [--max-batch M] [--faults PLAN]
-                    [--flight-dir D]
+  mrbc serve <file> [--port P] [--addr A] [--queue Q] [--max-batch M]
+                    [--faults PLAN] [--flight-dir D]
       long-running query daemon; prints \"SERVE <addr>\" when ready and
       runs until a client sends shutdown or QUIT arrives on stdin
   mrbc serve pool <file> [--workers W] [--port P] [--addr A]
-                    [--hosts H] [--batch B] [--queue Q] [--max-batch M]
-                    [--hedge-ms MS] [--retry-after MS] [--faults PLAN]
+                    [--queue Q] [--max-batch M] [--hedge-ms MS]
+                    [--retry-after MS] [--faults PLAN]
                     [--trace-dir D] [--flight-dir D]
       supervised pool of W serve-worker child processes behind one
       front-end: source-range sharded routing, heartbeat failure
       detection, SIGKILL -> respawn -> mutation replay recovery; worker
-      death surfaces as structured Retry/Partial, never a hung client
+      death surfaces as a structured Retry, never a hung client
       --trace-dir D: each worker writes D/trace-worker-<rank>.json
       (combine with the front-end's own --trace and `mrbc obs merge`)
       --flight-dir D: dump the flight-recorder ring to D on panic,
-      worker death, and every Retry/Partial emission
+      worker death, and every Retry emission
   mrbc query <addr> <sub> [--epoch E] [--retries N] [...]
       subs: bc --v V | top --k K | dist --s S --t T
             subset --sources V,V,... | mutate --add U-V | --remove U-V
@@ -71,7 +70,7 @@ USAGE:
       (pass the front-end trace first: it holds the probes)
   mrbc obs last-flight [--dir D] [<file.mrfr>]
       print the most recent flight-recorder dump (written on panic,
-      worker death, or any Retry/Partial response when --flight-dir
+      worker death, or any Retry response when --flight-dir
       was given to serve / serve pool)
   mrbc help
 

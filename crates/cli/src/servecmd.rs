@@ -19,7 +19,6 @@ use std::time::Duration;
 
 use crate::args::ParsedArgs;
 use crate::commands::{load, CmdError};
-use mrbc_core::BcConfig;
 use mrbc_obs as obs;
 use mrbc_serve::{
     start_pool, ClientConfig, MutateOp, PoolConfig, Request, Response, RetryClient, SchedConfig,
@@ -27,7 +26,7 @@ use mrbc_serve::{
 };
 
 /// Arms the flight recorder when `--flight-dir DIR` was given: every
-/// subsequent panic, worker Dead verdict, or Retry/Partial emission
+/// subsequent panic, worker Dead verdict, or Retry emission
 /// dumps the in-memory event ring to `DIR/flight-<pid>.mrfr`.
 fn arm_flight(p: &ParsedArgs) -> Result<(), CmdError> {
     if let Some(dir) = p.get_str("flight-dir") {
@@ -40,8 +39,8 @@ fn arm_flight(p: &ParsedArgs) -> Result<(), CmdError> {
     Ok(())
 }
 
-/// `mrbc serve <graph> [--port P] [--addr A] [--hosts H] [--batch B]
-/// [--queue Q] [--max-batch M] [--faults PLAN]`
+/// `mrbc serve <graph> [--port P] [--addr A] [--queue Q]
+/// [--max-batch M] [--faults PLAN]`
 ///
 /// Loads the graph, starts the daemon, and prints `SERVE <addr>` on
 /// stdout once the socket is bound (the line scripts poll for). Runs
@@ -75,11 +74,6 @@ pub fn cmd_serve(p: &ParsedArgs) -> Result<String, CmdError> {
     arm_flight(p)?;
     let cfg = ServeConfig {
         addr,
-        bc: BcConfig {
-            num_hosts: positive("hosts", 1)?,
-            batch_size: positive("batch", 32)?,
-            ..BcConfig::default()
-        },
         sched: SchedConfig {
             queue_cap: positive("queue", 64)?,
             max_batch: positive("max-batch", 8)?,
@@ -141,9 +135,8 @@ fn watch_stdin_for_quit() -> Arc<AtomicBool> {
 }
 
 /// `mrbc serve pool <graph> [--workers W] [--port P] [--addr A]
-/// [--hosts H] [--batch B] [--queue Q] [--max-batch M]
-/// [--hedge-ms MS] [--retry-after MS] [--faults PLAN]
-/// [--wal-dir DIR] [--wal-flush-ms MS]`
+/// [--queue Q] [--max-batch M] [--hedge-ms MS] [--retry-after MS]
+/// [--faults PLAN] [--wal-dir DIR] [--wal-flush-ms MS]`
 ///
 /// Starts `W` serve-worker child processes (each a full `mrbc serve`
 /// daemon of this same binary) behind a supervising front-end router:
@@ -244,8 +237,6 @@ fn cmd_pool(p: &ParsedArgs) -> Result<String, CmdError> {
     // the pool reads its `SERVE <addr>` readiness line from stdout.
     let exe = std::env::current_exe()
         .map_err(|e| CmdError::general(format!("cannot locate own binary: {e}")))?;
-    let hosts = positive("hosts", 1)?;
-    let batch = positive("batch", 32)?;
     let queue = positive("queue", 64)?;
     let max_batch = positive("max-batch", 8)?;
     let spawn = WorkerSpawn::Process(Box::new(move |rank| {
@@ -255,10 +246,6 @@ fn cmd_pool(p: &ParsedArgs) -> Result<String, CmdError> {
             &graph,
             "--port",
             "0",
-            "--hosts",
-            &hosts.to_string(),
-            "--batch",
-            &batch.to_string(),
             "--queue",
             &queue.to_string(),
             "--max-batch",
@@ -305,15 +292,14 @@ fn cmd_pool(p: &ParsedArgs) -> Result<String, CmdError> {
     pool.shutdown();
     Ok(format!(
         "pool exited cleanly: {} workers, {} sessions, {} routed, \
-         {} failovers, {} respawns, {} retries emitted, {} partials emitted, \
-         {} hedges, {} mutations replayed, recoveries {:?} ms\n",
+         {} failovers, {} respawns, {} retries emitted, {} hedges, \
+         {} mutations replayed, recoveries {:?} ms\n",
         workers,
         stats.sessions,
         stats.routed,
         stats.failovers,
         stats.respawns,
         stats.retries_emitted,
-        stats.partials_emitted,
         stats.hedges,
         stats.replayed_mutations,
         recoveries,

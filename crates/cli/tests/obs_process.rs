@@ -66,10 +66,9 @@ fn stop_pool(mut child: Child, addr: &str) {
 }
 
 /// One front-end + two workers, each with its own `--trace` export; a
-/// subset query whose sources straddle the shard boundary fans out to
-/// both workers, so a single client trace id must appear on all three
-/// process tracks of the merged timeline — and the merged document must
-/// pass `mrbc check-json` unchanged.
+/// mutation is broadcast to both workers, so a single client trace id
+/// must appear on all three process tracks of the merged timeline — and
+/// the merged document must pass `mrbc check-json` unchanged.
 #[test]
 fn merged_trace_correlates_one_query_across_three_processes() {
     let dir = tmpdir("golden");
@@ -85,14 +84,13 @@ fn merged_trace_correlates_one_query_across_three_processes() {
         ],
     );
 
-    // 64-vertex graph over 2 workers shards at vertex 32: sources on
-    // both sides force the subset fan-out to touch both workers inside
-    // one routed query.
+    // The pool broadcasts every mutation (applied or a no-op) to all
+    // workers inside one routed query.
     let out = bin()
-        .args(["query", &addr, "subset", "--sources", "1,5,9,33,50"])
+        .args(["query", &addr, "mutate", "--add", "1-50"])
         .output()
-        .expect("subset query");
-    assert!(out.status.success(), "subset query failed: {out:?}");
+        .expect("mutate query");
+    assert!(out.status.success(), "mutate query failed: {out:?}");
 
     // A clean shutdown makes every process flush its trace file.
     stop_pool(pool, &addr);

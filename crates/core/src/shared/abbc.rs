@@ -16,7 +16,11 @@
 //! unreproducible intermediate states). Work units are counted so the
 //! benchmark harness can model execution time on the same [`CostModel`]
 //! as the BSP algorithms: ABBC pays per-task worklist overhead but zero
-//! barrier cost.
+//! barrier cost. The SSSP's work and task counts are charged from the
+//! converged distances (each reached vertex relaxes its out-edges once,
+//! each level is cut into chunks), not tallied as the threads race: a
+//! racing tally depends on the interleaving and the core count, and the
+//! counts must be as reproducible as the scores.
 //!
 //! [`CostModel`]: mrbc_dgalois::CostModel
 
@@ -34,8 +38,9 @@ pub struct AbbcOutcome {
     pub bc: Vec<f64>,
     /// Total relaxation / accumulation work units across all sources.
     pub work_units: u64,
-    /// Total worklist tasks (chunks) processed — each pays scheduling
-    /// overhead in the analytic model.
+    /// Total worklist tasks (chunks), one per `chunk_size` vertices of
+    /// each distance level — each pays scheduling overhead in the
+    /// analytic model.
     pub tasks: u64,
 }
 
@@ -90,7 +95,7 @@ pub fn abbc_bc(g: &CsrGraph, sources: &[VertexId], chunk_size: usize) -> AbbcOut
         dist[s as usize].set(0);
 
         // ---- Asynchronous SSSP: chunked work-stealing relaxation. ----
-        async_sssp(g, s, &dist, chunk_size, &work, &tasks);
+        async_sssp(g, s, &dist, chunk_size);
 
         // ---- Level-ordered σ and δ sweeps over the settled distances.
         let dists: Vec<u32> = dist.iter().map(|d| d.get()).collect();
@@ -105,6 +110,11 @@ pub fn abbc_bc(g: &CsrGraph, sources: &[VertexId], chunk_size: usize) -> AbbcOut
             if dists[v as usize] != INF_DIST {
                 levels[dists[v as usize] as usize].push(v);
             }
+        }
+        for level in &levels {
+            let relaxations: usize = level.iter().map(|&v| g.out_degree(v)).sum();
+            work.fetch_add(relaxations as u64, Ordering::Relaxed);
+            tasks.fetch_add(level.len().div_ceil(chunk_size) as u64, Ordering::Relaxed);
         }
 
         let mut sigma = vec![0.0f64; n];
@@ -165,14 +175,7 @@ pub fn abbc_bc(g: &CsrGraph, sources: &[VertexId], chunk_size: usize) -> AbbcOut
 
 /// Chunked asynchronous SSSP: workers steal chunks of active vertices and
 /// relax their out-edges with atomic min-updates until global quiescence.
-fn async_sssp(
-    g: &CsrGraph,
-    source: VertexId,
-    dist: &[AtomicMin],
-    chunk_size: usize,
-    work: &AtomicU64,
-    tasks: &AtomicU64,
-) {
+fn async_sssp(g: &CsrGraph, source: VertexId, dist: &[AtomicMin], chunk_size: usize) {
     let injector: Injector<Vec<u32>> = Injector::new();
     injector.push(vec![source]);
     // Queued-vertex count for coarse quiescence; the add-before-publish /
@@ -189,12 +192,10 @@ fn async_sssp(
                     match injector.steal() {
                         Steal::Success(chunk) => {
                             backoff = 0;
-                            tasks.fetch_add(1, Ordering::Relaxed);
                             let mut next: Vec<u32> = Vec::with_capacity(chunk_size);
                             for v in &chunk {
                                 let dv = dist[*v as usize].get();
                                 for &u in g.out_neighbors(*v) {
-                                    work.fetch_add(1, Ordering::Relaxed);
                                     // Atomic min; the winner re-enqueues.
                                     if dist[u as usize].relax(dv.saturating_add(1)) {
                                         active.add(1);

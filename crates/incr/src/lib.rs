@@ -30,10 +30,16 @@
 //!    O(n · sources) flat additions and keeps bit-identity by
 //!    construction.
 //!
-//! One allocation-free kernel, `rebuild_into`, serves both
-//! [`IncrEngine::build`] and [`IncrEngine::apply`]: it overwrites a
-//! source's existing buffers in place, and `apply` runs it on exactly
-//! the sources the cone test marks affected. See DESIGN.md §16.
+//! One allocation-free kernel, `rebuild_into`, serves
+//! [`IncrEngine::build`], [`IncrEngine::apply`] and [`canonical_bc`]: it
+//! overwrites a source's existing buffers in place, and `apply` runs it
+//! on exactly the sources the cone test marks affected. One fold step,
+//! `fold_row`, turns δ rows into every BC vector the crate returns: the
+//! engine's full vector, [`IncrEngine::subset_bc`] and [`canonical_bc`].
+//! The serving tier answers every BC query from these. See DESIGN.md
+//! §11 and §16.
+
+use std::sync::Arc;
 
 use mrbc_core::brandes;
 use mrbc_graph::{CsrGraph, VertexId, INF_DIST};
@@ -49,25 +55,12 @@ pub enum EdgeOp {
     Remove,
 }
 
-/// Tuning knobs for the incremental maintenance path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IncrConfig {
-    /// Master switch; `false` restores the drop-and-recompute behaviour.
-    pub enabled: bool,
-    /// Largest graph the engine will cache artifacts for. The cache is
-    /// O(n²) memory (three length-n arrays per source), so the serving
-    /// tier only opts in below this bound.
-    pub max_vertices: usize,
-}
-
-impl Default for IncrConfig {
-    fn default() -> Self {
-        IncrConfig {
-            enabled: true,
-            max_vertices: 1024,
-        }
-    }
-}
+/// The configuration of [`IncrEngine::apply`]. It has no fields: the
+/// engine has one behaviour, and the serving tier's size bound is a
+/// constant of `mrbc-serve`. Kept only so the five-argument `apply`
+/// (which the repository benchmark calls) still builds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct IncrConfig {}
 
 /// What one [`IncrEngine::apply`] call did, for the serving tier's
 /// `sources_reused` / `sources_rebuilt` counters.
@@ -88,8 +81,10 @@ pub struct IncrOutcome {
 
 /// Per-source SSSP artifacts: BFS distances ([`INF_DIST`] when
 /// unreachable), shortest-path counts `σ_s`, and the dependency vector
-/// `δ_s` accumulated in canonical successor order.
-#[derive(Debug, Clone, PartialEq)]
+/// `δ_s` accumulated in canonical successor order. A forward-only copy
+/// (the serving tier's cache above the engine bound) leaves `delta`
+/// empty.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SourceArtifacts {
     /// `dist[v]` = BFS distance from the source to `v`.
     pub dist: Vec<u32>,
@@ -173,6 +168,44 @@ fn backward_into(g: &CsrGraph, dist: &[u32], sigma: &[f64], order: &[VertexId], 
     }
 }
 
+/// The fold step every BC vector is built from: add source `s`'s
+/// dependency row into `bc`, skipping the self term `δ_s(s)`. Applied
+/// for sources in ascending order, it reproduces the driver's
+/// per-vertex addition sequence exactly (sources ascending, self term
+/// skipped), so the result is bit-identical to the driver's.
+fn fold_row(bc: &mut [f64], s: VertexId, delta: &[f64]) {
+    let (bc_lo, bc_hi) = bc.split_at_mut(s as usize);
+    let (d_lo, d_hi) = delta.split_at(s as usize);
+    for (b, d) in bc_lo.iter_mut().zip(d_lo) {
+        *b += d;
+    }
+    for (b, d) in bc_hi.iter_mut().zip(d_hi).skip(1) {
+        *b += d;
+    }
+}
+
+/// BC accumulated from `sources` (ascending, duplicate-free) without
+/// caching anything: each source runs through the canonical kernel in
+/// one reused scratch buffer (O(n) memory) and is folded straight in.
+/// Bit-identical to the driver on the same source set, and to
+/// [`IncrEngine::subset_bc`] on the same graph.
+pub fn canonical_bc(g: &CsrGraph, sources: &[VertexId]) -> Vec<f64> {
+    debug_assert!(sources.windows(2).all(|w| w[0] < w[1]), "canonical order");
+    let n = g.num_vertices();
+    let mut art = SourceArtifacts {
+        dist: vec![INF_DIST; n],
+        sigma: vec![0.0; n],
+        delta: vec![0.0; n],
+    };
+    let mut order = Vec::with_capacity(n);
+    let mut bc = vec![0.0; n];
+    for &s in sources {
+        rebuild_into(g, s, &mut art, &mut order);
+        fold_row(&mut bc, s, &art.delta);
+    }
+    bc
+}
+
 /// Decide whether a mutation of edge `(u, v)` can change source `s`'s
 /// artifacts, judged against the *pre-mutation* distance array. Exact
 /// in both directions: `true` iff the rebuilt artifacts can differ.
@@ -197,10 +230,13 @@ pub fn source_affected(dist: &[u32], op: EdgeOp, u: VertexId, v: VertexId) -> bo
 
 /// The epoch maintenance engine: cached per-source artifacts plus the
 /// folded full-BC vector, kept bit-identical to a fresh full recompute
-/// across any sequence of [`apply`](IncrEngine::apply) calls.
+/// across any sequence of [`apply`](IncrEngine::apply) calls. Each
+/// source's artifacts sit behind an `Arc`, so readers share the
+/// engine's one copy ([`IncrEngine::shared_source`]); `apply` rebuilds
+/// in place and copies a source only while a reader still holds it.
 #[derive(Debug, Clone)]
 pub struct IncrEngine {
-    per_source: Vec<SourceArtifacts>,
+    per_source: Vec<Arc<SourceArtifacts>>,
     bc: Vec<f64>,
 }
 
@@ -215,13 +251,15 @@ impl IncrEngine {
             sigma: vec![0.0; n],
             delta: vec![0.0; n],
         };
-        let per_source = (0..n as VertexId)
-            .map(|s| {
-                let mut art = blank.clone();
-                rebuild_into(g, s, &mut art, &mut order);
-                art
-            })
-            .collect();
+        // Every `Arc` first, then the buffers: small headers allocated
+        // between the buffers would keep a dropped engine's memory from
+        // coalescing, and the allocator could not hand it back.
+        let mut per_source: Vec<Arc<SourceArtifacts>> = (0..n).map(|_| Arc::default()).collect();
+        for (s, art) in per_source.iter_mut().enumerate() {
+            let art = Arc::make_mut(art);
+            *art = blank.clone();
+            rebuild_into(g, s as VertexId, art, &mut order);
+        }
         let mut engine = IncrEngine {
             per_source,
             bc: vec![0.0; n],
@@ -246,6 +284,24 @@ impl IncrEngine {
         &self.per_source[s as usize]
     }
 
+    /// The engine's own handle on one source's artifacts, for readers
+    /// that keep them past the borrow (no copy is made).
+    pub fn shared_source(&self, s: VertexId) -> Arc<SourceArtifacts> {
+        Arc::clone(&self.per_source[s as usize])
+    }
+
+    /// BC accumulated from `sources` (ascending, duplicate-free): an
+    /// ascending fold of the cached δ rows, bit-identical to the driver
+    /// on the same source set.
+    pub fn subset_bc(&self, sources: &[VertexId]) -> Vec<f64> {
+        debug_assert!(sources.windows(2).all(|w| w[0] < w[1]), "canonical order");
+        let mut bc = vec![0.0; self.per_source.len()];
+        for &s in sources {
+            fold_row(&mut bc, s, &self.per_source[s as usize].delta);
+        }
+        bc
+    }
+
     /// Maintain the epoch across one edge mutation. `g` is the
     /// *post-mutation* graph; each source's cone test runs against its
     /// cached pre-mutation distances, exactly the affected sources are
@@ -266,7 +322,7 @@ impl IncrEngine {
         let mut rebuilt = 0u64;
         for (s, art) in self.per_source.iter_mut().enumerate() {
             if source_affected(&art.dist, op, u, v) {
-                rebuild_into(g, s as VertexId, art, &mut order);
+                rebuild_into(g, s as VertexId, Arc::make_mut(art), &mut order);
                 rebuilt += 1;
             }
         }
@@ -279,23 +335,14 @@ impl IncrEngine {
         }
     }
 
-    /// Re-fold `BC(v) = Σ_{s ≠ v} δ_s(v)` in ascending source order —
-    /// the exact per-element addition sequence of the driver's full-BC
-    /// fold (sources ascending, self term skipped). Row-major: each δ
-    /// row is added into `bc` in turn, which gives every `v` the same
-    /// addition sequence as a per-`v` column walk while reading memory
+    /// Re-fold `BC(v) = Σ_{s ≠ v} δ_s(v)` in ascending source order,
+    /// one [`fold_row`] per source. Row-major: every `v` gets the same
+    /// addition sequence as a per-`v` column walk while memory is read
     /// sequentially.
     fn refold_bc(&mut self) {
         self.bc.fill(0.0);
         for (s, art) in self.per_source.iter().enumerate() {
-            let (bc_lo, bc_hi) = self.bc.split_at_mut(s);
-            let (d_lo, d_hi) = art.delta.split_at(s);
-            for (b, d) in bc_lo.iter_mut().zip(d_lo) {
-                *b += d;
-            }
-            for (b, d) in bc_hi.iter_mut().zip(d_hi).skip(1) {
-                *b += d;
-            }
+            fold_row(&mut self.bc, s as VertexId, &art.delta);
         }
     }
 }
@@ -369,6 +416,7 @@ mod tests {
                         bits(&full.bc),
                         "hosts={hosts} batch={batch}"
                     );
+                    assert_eq!(bits(&canonical_bc(&g, &sources)), bits(&full.bc));
                 }
             }
         }

@@ -7,11 +7,15 @@
 //!
 //! * `bc(v)` and deterministic `top_k(k)` from an epoch-cached full BC
 //!   vector;
-//! * `dist(s, t)` / `σ(s, t)` from per-source cached forward artifacts;
+//! * `dist(s, t)` / `σ(s, t)` from per-source forward artifacts;
 //! * subset-source BC for ad-hoc source sets;
 //! * `add_edge` / `remove_edge` mutations that bump the graph **epoch**
-//!   and invalidate every cache — pinned readers get structured `Stale`
-//!   refusals, never torn answers.
+//!   — pinned readers get structured `Stale` refusals, never torn
+//!   answers — and maintain the cached artifacts incrementally.
+//!
+//! Every answer comes from one kernel, the canonical per-source pass of
+//! `mrbc-incr` ([`store`]); the simulated driver is not on the serving
+//! path.
 //!
 //! The scheduling core is grounded in the paper's Lemma 8 (`k` batched
 //! sources finish in `k + H` forward rounds): concurrent source-scoped
@@ -23,8 +27,8 @@
 //! The wire protocol ([`proto`]) rides the same `[len][crc][body]`
 //! envelope as the SPMD mesh (shared via [`mrbc_util::framing`]), with
 //! scores as raw IEEE-754 bits: daemon answers are bit-identical to
-//! offline [`mrbc_core::driver::bc`] runs — the serving-parity contract
-//! the integration tests enforce.
+//! offline [`mrbc_core::bc`] runs at any host count and batch
+//! size — the serving-parity contract the integration tests enforce.
 
 pub mod client;
 pub mod durable;
@@ -41,6 +45,5 @@ pub use proto::{MutateOp, Request, Response, ServeStats, TraceCtx};
 pub use sched::SchedConfig;
 pub use server::{start, ServeConfig, Server};
 pub use store::{EpochStore, ForwardArtifacts, MutationOutcome};
-// The incremental-maintenance knobs, re-exported so embedders and the
-// benches can configure the store without a direct mrbc-incr edge.
-pub use mrbc_incr::{IncrConfig, IncrOutcome};
+// What a maintained mutation did, as reported in `MutationOutcome`.
+pub use mrbc_incr::IncrOutcome;

@@ -9,12 +9,12 @@
 //! blocked split `BlockedEdgeCut` partitioning uses — so each worker's
 //! per-source forward caches stay hot for its range. Affinity is *not*
 //! data partitioning: any worker can answer any query, which is exactly
-//! what makes failover a re-route instead of a data migration. The
-//! paper's Lemma 8 makes this cheap — a re-driven source batch costs
-//! `k + H` rounds, not `k · H` — and per-source BC contributions compose
-//! independently (Crescenzi–Fraigniaud–Paz), so a lost shard degrades a
-//! `SubsetBc` answer to a structured [`Response::Partial`] rather than
-//! poisoning the whole result.
+//! what makes failover a re-route instead of a data migration. A
+//! `SubsetBc` goes whole to the shard owner of its smallest source:
+//! per-source contributions compose exactly only in exact arithmetic
+//! (Crescenzi–Fraigniaud–Paz), and summing per-shard f64 partial
+//! vectors would re-associate the fold and drift from a single
+//! daemon's bits.
 //!
 //! Supervision reuses the [`mrbc_net::detector`] heartbeat machinery:
 //! the supervisor thread probes each worker on the detector's beat
@@ -90,8 +90,9 @@ pub enum WorkerSpawn {
     InProcess {
         /// The graph every worker loads.
         graph: CsrGraph,
-        /// Driver configuration for worker BC computations (boxed to
-        /// keep the enum small next to the `Process` closure).
+        /// Ignored: workers answer from the canonical kernel, which is
+        /// bit-identical to the driver at any configuration. Kept only
+        /// for callers' source compatibility.
         bc: Box<BcConfig>,
         /// Worker scheduler knobs.
         sched: SchedConfig,
@@ -156,8 +157,6 @@ pub struct PoolStats {
     pub routed: u64,
     /// `Retry` responses emitted (deadline or no live worker).
     pub retries_emitted: u64,
-    /// `Partial` responses emitted (lost shard during `SubsetBc`).
-    pub partials_emitted: u64,
     /// Requests re-routed to a sibling after a worker died mid-flight.
     pub failovers: u64,
     /// Straggler queries hedged to a sibling.
@@ -178,7 +177,6 @@ struct PoolCounters {
     sessions: AtomicU64,
     routed: AtomicU64,
     retries_emitted: AtomicU64,
-    partials_emitted: AtomicU64,
     failovers: AtomicU64,
     hedges: AtomicU64,
     respawns: AtomicU64,
@@ -193,7 +191,6 @@ impl PoolCounters {
             sessions: self.sessions.load(Ordering::Relaxed),
             routed: self.routed.load(Ordering::Relaxed),
             retries_emitted: self.retries_emitted.load(Ordering::Relaxed),
-            partials_emitted: self.partials_emitted.load(Ordering::Relaxed),
             failovers: self.failovers.load(Ordering::Relaxed),
             hedges: self.hedges.load(Ordering::Relaxed),
             respawns: self.respawns.load(Ordering::Relaxed),
@@ -697,12 +694,11 @@ fn spawn_backend(spawner: &mut WorkerSpawn, rank: usize) -> io::Result<(Backend,
                 }
             }
         }
-        WorkerSpawn::InProcess { graph, bc, sched } => {
+        WorkerSpawn::InProcess { graph, sched, .. } => {
             let server = start(
                 graph.clone(),
                 ServeConfig {
                     addr: "127.0.0.1:0".to_string(),
-                    bc: (**bc).clone(),
                     sched: *sched,
                     faults: None,
                 },
@@ -1489,105 +1485,6 @@ fn broadcast_mutate(
     }
 }
 
-/// `SubsetBc` fan-out: canonicalize, group by shard affinity, dispatch
-/// each group to its owner, merge per-group vectors in rank order. Lost
-/// groups degrade the answer to `Partial { missing_sources }`.
-fn fan_out_subset(
-    shared: &Arc<PoolShared>,
-    ctx: TraceCtx,
-    epoch_pin: u64,
-    sources: &[u32],
-) -> Response {
-    let vertices = shared.graph_info.lock().map(|g| g.0).unwrap_or(0);
-    let mut canon: Vec<u32> = sources.to_vec();
-    canon.sort_unstable();
-    canon.dedup();
-    if canon.is_empty() {
-        // Zero sources → zero scores; answer locally at the current
-        // epoch without bothering a worker.
-        return Response::SubsetBc {
-            epoch: shared.epoch.load(Ordering::SeqCst),
-            scores: vec![0.0; vertices as usize],
-        };
-    }
-
-    // Group in rank order (canon is sorted, shards are contiguous, so
-    // groups are consecutive runs).
-    let mut groups: Vec<(usize, Vec<u32>)> = Vec::new();
-    for &s in &canon {
-        let rank = shard_of(s, vertices, shared.workers);
-        match groups.last_mut() {
-            Some((r, g)) if *r == rank => g.push(s),
-            _ => groups.push((rank, vec![s])),
-        }
-    }
-
-    let deadline = now_ms() + shared.dispatch_timeout_ms;
-    let mut merged: Option<Vec<f64>> = None;
-    let mut merged_epoch: Option<u64> = None;
-    let mut missing: Vec<u32> = Vec::new();
-
-    for (rank, group) in &groups {
-        let sub = Request::SubsetBc {
-            epoch: epoch_pin,
-            sources: group.clone(),
-        };
-        let remaining = deadline.saturating_sub(now_ms());
-        let resp = if remaining == 0 {
-            None
-        } else {
-            call_worker(shared, *rank, ctx, &sub, now_ms() + remaining)
-        };
-        match resp {
-            Some(Response::SubsetBc { epoch, scores }) => {
-                match merged_epoch {
-                    Some(e) if e != epoch => {
-                        // A mutation landed between groups; a merged
-                        // vector would be torn. Structured retreat.
-                        return shared.retry();
-                    }
-                    _ => merged_epoch = Some(epoch),
-                }
-                match &mut merged {
-                    None => merged = Some(scores),
-                    Some(acc) => {
-                        if acc.len() != scores.len() {
-                            return shared.retry();
-                        }
-                        for (a, s) in acc.iter_mut().zip(scores) {
-                            *a += s;
-                        }
-                    }
-                }
-            }
-            // Substantive refusals apply to the whole request.
-            Some(r @ (Response::Stale { .. } | Response::Busy { .. } | Response::Error { .. })) => {
-                return r;
-            }
-            _ => missing.extend_from_slice(group),
-        }
-    }
-
-    match (merged, merged_epoch) {
-        (Some(scores), Some(epoch)) if missing.is_empty() => Response::SubsetBc { epoch, scores },
-        (Some(scores), Some(epoch)) => {
-            shared
-                .counters
-                .partials_emitted
-                .fetch_add(1, Ordering::Relaxed);
-            // A degraded answer is a flight-recorder moment too.
-            obs::flight::note("pool.partial_emitted", ctx.trace, missing.len() as u64);
-            obs::flight::dump("partial-emitted");
-            Response::Partial {
-                epoch,
-                scores,
-                missing_sources: missing,
-            }
-        }
-        _ => shared.retry(),
-    }
-}
-
 /// Routes one decoded request; always returns, never hangs. `ctx` is
 /// the trace context the client sent; routed queries get a
 /// `pool.route` span in that trace, and workers receive a child
@@ -1620,17 +1517,22 @@ fn route(shared: &Arc<PoolShared>, ctx: TraceCtx, req: &Request) -> Response {
             let down = ctx.child(span_id);
             match req {
                 Request::Mutate { op, u, v } => broadcast_mutate(shared, down, *op, *u, *v),
-                Request::SubsetBc { epoch, sources } => {
-                    fan_out_subset(shared, down, *epoch, sources)
-                }
-                Request::PathInfo { s, .. } => {
-                    let vertices = shared.graph_info.lock().map(|g| g.0).unwrap_or(0);
-                    let rank = shard_of(*s, vertices, shared.workers);
-                    let deadline = now_ms() + shared.dispatch_timeout_ms;
-                    call_worker(shared, rank, down, req, deadline).unwrap_or_else(|| shared.retry())
-                }
-                _ => {
-                    let rank = shared.first_alive().unwrap_or(0);
+                req => {
+                    // Source-scoped queries go to their source's shard
+                    // owner; a subset goes whole to the owner of its
+                    // smallest source (see the module doc).
+                    let owner = match req {
+                        Request::PathInfo { s, .. } => Some(*s),
+                        Request::SubsetBc { sources, .. } => sources.iter().min().copied(),
+                        _ => None,
+                    };
+                    let rank = match owner {
+                        Some(s) => {
+                            let vertices = shared.graph_info.lock().map(|g| g.0).unwrap_or(0);
+                            shard_of(s, vertices, shared.workers)
+                        }
+                        None => shared.first_alive().unwrap_or(0),
+                    };
                     let deadline = now_ms() + shared.dispatch_timeout_ms;
                     call_worker(shared, rank, down, req, deadline).unwrap_or_else(|| shared.retry())
                 }
@@ -1822,14 +1724,51 @@ mod tests {
         let (_, d2, s2) = single.1.path_info(0, 0, 11).expect("single path");
         assert_eq!((d, sigma.to_bits()), (d2, s2.to_bits()));
 
-        // Source sets spanning multiple shards merge deterministically.
+        // Source sets spanning multiple shards answer deterministically.
         let sources = [0u32, 1, 5, 10, 11];
         let (_, merged) = c.subset_bc(0, &sources).expect("subset");
         let (_, again) = quick_client(pool.local_addr())
             .subset_bc(0, &sources)
             .expect("subset again");
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&merged), bits(&again), "merge is deterministic");
+        assert_eq!(bits(&merged), bits(&again), "subset is deterministic");
+    }
+
+    /// A pooled subset carries a single daemon's bits: 40 seeded
+    /// six-source subsets on R-MAT scale 7 over 2 workers, most of them
+    /// straddling the shard boundary. Summing per-shard partial vectors
+    /// re-associates the f64 fold and drifts on such subsets.
+    #[test]
+    fn pooled_subset_bc_is_bit_identical_to_a_single_daemon() {
+        let g = mrbc_graph::generators::rmat(mrbc_graph::generators::RmatConfig::new(7, 8), 5);
+        let n = g.num_vertices() as u64;
+        let spawn = WorkerSpawn::InProcess {
+            graph: g.clone(),
+            bc: Box::default(),
+            sched: SchedConfig::default(),
+        };
+        let cfg = PoolConfig {
+            workers: 2,
+            dispatch_timeout_ms: 20_000,
+            ..PoolConfig::default()
+        };
+        let pool = start_pool(spawn, cfg).expect("pool starts");
+        let server = start(g, ServeConfig::default()).expect("daemon");
+        let mut pooled = quick_client(pool.local_addr());
+        let mut single = quick_client(server.local_addr());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut draw = 0x5eed_u64;
+        for i in 0..40 {
+            let sources: Vec<u32> = (0..6)
+                .map(|_| {
+                    draw = mrbc_util::splitmix64(draw);
+                    (draw % n) as u32
+                })
+                .collect();
+            let (_, a) = pooled.subset_bc(0, &sources).expect("pooled subset");
+            let (_, b) = single.subset_bc(0, &sources).expect("single subset");
+            assert_eq!(bits(&a), bits(&b), "subset {i} {sources:?} diverged");
+        }
     }
 
     #[test]

@@ -53,9 +53,6 @@ pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`Server::local_addr`]).
     pub addr: String,
-    /// Driver configuration used for every BC computation (algorithm,
-    /// Lemma-8 batch size, host count, ...).
-    pub bc: BcConfig,
     /// Scheduler admission-control knobs.
     pub sched: SchedConfig,
     /// Optional fault plan (`stall:ms=`, `hangup:session=` clauses).
@@ -66,7 +63,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            bc: BcConfig::default(),
             sched: SchedConfig::default(),
             faults: None,
         }
@@ -107,7 +103,7 @@ pub fn start(graph: CsrGraph, cfg: ServeConfig) -> io::Result<Server> {
     let local_addr = listener.local_addr()?;
 
     let shared = Arc::new(Shared {
-        store: EpochStore::new(graph, cfg.bc.clone()),
+        store: EpochStore::new(graph, BcConfig::default()),
         sched: Scheduler::new(cfg.sched),
         shutdown: AtomicBool::new(false),
         max_generation: AtomicU64::new(0),
@@ -499,8 +495,8 @@ fn execute_job(shared: &Arc<Shared>, req: &Request) -> Response {
             let fw = store.forward(*s);
             Response::PathInfo {
                 epoch,
-                dist: fw.0[*t as usize],
-                sigma: fw.1[*t as usize],
+                dist: fw.dist[*t as usize],
+                sigma: fw.sigma[*t as usize],
             }
         }
         Request::SubsetBc { sources, .. } => {

@@ -3,28 +3,28 @@
 //! The daemon loads one [`CsrGraph`] and serves many queries against it;
 //! this store owns the graph plus every cached artifact derived from it,
 //! all versioned by a monotonically increasing **epoch** (starting at 1).
-//! A mutation rebuilds the CSR, bumps the epoch, and drops every cache —
-//! readers that pinned the old epoch observe a structured `Stale`
-//! refusal instead of a torn mix of old and new answers.
+//! A mutation rebuilds the CSR and bumps the epoch — readers that pinned
+//! the old epoch observe a structured `Stale` refusal instead of a torn
+//! mix of old and new answers.
 //!
-//! Cached artifacts:
+//! Every answer comes from one kernel, the canonical per-source pass of
+//! [`mrbc_incr`]. The simulated driver ([`mrbc_core::bc`]) is
+//! not on the serving path; the kernel is bit-identical to it at any
+//! host count and batch size (the serving-parity contract, DESIGN.md
+//! §11). Two regimes, by graph size:
 //!
-//! * the **full BC vector**, computed lazily on the first `bc(v)` /
-//!   `top_k` of an epoch. For graphs the incremental engine admits
-//!   (n ≤ [`IncrConfig::max_vertices`], 1024 by default) it comes from
-//!   [`IncrEngine::build`]'s canonical per-source kernel; larger graphs
-//!   run all `n` sources through [`mrbc_core::driver::bc`]. The two are
-//!   bit-identical (the serving-parity contract);
-//! * **per-source forward artifacts** `(dist, σ)` from
-//!   [`mrbc_core::brandes::forward_counts`], cached per source so
-//!   repeated `dist(s, ·)` probes from one source pay one BFS;
-//! * the **incremental maintenance engine** ([`mrbc_incr::IncrEngine`]):
-//!   once the full-BC vector has been computed for a graph small enough
-//!   to cache per-source artifacts, mutations stop dropping the epoch —
-//!   the engine rebuilds only the affected sources and re-folds BC,
-//!   bit-identical to a fresh recompute (DESIGN.md §16). Graphs above
-//!   [`IncrConfig::max_vertices`] (or with maintenance disabled) keep
-//!   the original drop-and-recompute behaviour.
+//! * **Up to [`ENGINE_MAX_VERTICES`] vertices**, the first full-BC query
+//!   builds the maintenance engine ([`IncrEngine`]), which keeps one
+//!   copy of every source's `(dist, σ, δ)`. From then on it answers full
+//!   BC (its maintained vector), subset BC (an ascending fold of its
+//!   cached δ rows) and `forward` (a shared handle on its artifacts, no
+//!   copy). Mutations maintain it instead of dropping it: only affected
+//!   sources are rebuilt and BC is re-folded (DESIGN.md §16).
+//! * **Above the bound**, or before the engine exists, nothing O(n²) is
+//!   kept. Full and subset BC stream their sources through
+//!   [`canonical_bc`] in O(n) memory, and `forward` results go into a
+//!   cache of at most [`FORWARD_CACHE_BYTES`] that evicts the lowest
+//!   source first.
 //!
 //! Only the scheduler's single worker thread calls the compute methods,
 //! so the interior mutex is never contended by long computations — the
@@ -35,15 +35,28 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use mrbc_core::{bc, BcConfig};
+use mrbc_core::BcConfig;
 use mrbc_core::{brandes, postprocess};
 use mrbc_graph::{CsrGraph, GraphBuilder, VertexId};
-use mrbc_incr::{EdgeOp, IncrConfig, IncrEngine, IncrOutcome};
+use mrbc_incr::{canonical_bc, EdgeOp, IncrConfig, IncrEngine, IncrOutcome, SourceArtifacts};
 
 use crate::proto::MutateOp;
 
-/// Forward-pass artifacts of one source: `(dist, σ)` over all vertices.
-pub type ForwardArtifacts = Arc<(Vec<u32>, Vec<f64>)>;
+/// Largest graph the maintenance engine is built for. Its cache is
+/// O(n²) memory (20 bytes per source × vertex: 20 MiB at the bound).
+pub const ENGINE_MAX_VERTICES: usize = 1024;
+
+/// Byte budget of the forward cache used while no engine is resident.
+pub const FORWARD_CACHE_BYTES: usize = 16 << 20;
+
+/// Forward-pass artifacts of one source. `dist` and `sigma` cover all
+/// vertices; `delta` is filled only when the handle is the engine's.
+pub type ForwardArtifacts = Arc<SourceArtifacts>;
+
+/// Bytes one forward-only cache entry holds on an `n`-vertex graph.
+fn forward_entry_bytes(n: usize) -> usize {
+    n * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>())
+}
 
 /// Result of [`EpochStore::mutate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,14 +67,15 @@ pub struct MutationOutcome {
     /// requested state, or a self-loop insert).
     pub applied: bool,
     /// What the incremental engine did, when it was resident; `None`
-    /// when the mutation fell back to drop-and-recompute (engine never
-    /// built, disabled, or graph above the cache bound).
+    /// when there was no engine to maintain (never built, or graph
+    /// above [`ENGINE_MAX_VERTICES`]) and the caches were dropped.
     pub maintenance: Option<IncrOutcome>,
 }
 
 struct StoreInner {
     graph: Arc<CsrGraph>,
     full_bc: Option<Arc<Vec<f64>>>,
+    /// Forward-only artifacts; empty while the engine is resident.
     forward: BTreeMap<VertexId, ForwardArtifacts>,
     incr: Option<IncrEngine>,
 }
@@ -69,27 +83,17 @@ struct StoreInner {
 /// The epoch-versioned graph + derived-result store.
 pub struct EpochStore {
     epoch: AtomicU64,
-    cfg: BcConfig,
-    incr_cfg: IncrConfig,
     inner: Mutex<StoreInner>,
 }
 
 impl EpochStore {
-    /// Wraps a loaded graph; the initial epoch is 1. Incremental epoch
-    /// maintenance uses [`IncrConfig::default`]; see
-    /// [`EpochStore::with_incr`] to tune or disable it.
-    pub fn new(graph: CsrGraph, cfg: BcConfig) -> Self {
-        Self::with_incr(graph, cfg, IncrConfig::default())
-    }
-
-    /// Wraps a loaded graph with an explicit incremental-maintenance
-    /// configuration (`enabled: false` restores pure drop-and-recompute,
-    /// which benchmarks use as the baseline).
-    pub fn with_incr(graph: CsrGraph, cfg: BcConfig, incr_cfg: IncrConfig) -> Self {
+    /// Wraps a loaded graph; the initial epoch is 1. The `BcConfig` is
+    /// ignored: every answer comes from the canonical kernel, which is
+    /// bit-identical to the driver at any configuration. The parameter
+    /// is kept only for callers' source compatibility.
+    pub fn new(graph: CsrGraph, _cfg: BcConfig) -> Self {
         EpochStore {
             epoch: AtomicU64::new(1),
-            cfg,
-            incr_cfg,
             inner: Mutex::new(StoreInner {
                 graph: Arc::new(graph),
                 full_bc: None,
@@ -97,12 +101,6 @@ impl EpochStore {
                 incr: None,
             }),
         }
-    }
-
-    /// Whether the maintenance engine is allowed to cache this graph:
-    /// the per-source artifact cache is O(n²) memory, so it is bounded.
-    fn incr_admissible(&self, n: usize) -> bool {
-        self.incr_cfg.enabled && n > 0 && n <= self.incr_cfg.max_vertices
     }
 
     fn lock(&self) -> MutexGuard<'_, StoreInner> {
@@ -132,9 +130,17 @@ impl EpochStore {
         Arc::clone(&self.lock().graph)
     }
 
+    /// Bytes held by the forward-only cache (at most
+    /// [`FORWARD_CACHE_BYTES`]; 0 while the engine is resident).
+    pub fn forward_cache_bytes(&self) -> usize {
+        let inner = self.lock();
+        inner.forward.len() * forward_entry_bytes(inner.graph.num_vertices())
+    }
+
     /// The full BC vector for the current epoch, computing (and caching)
-    /// it on first use. All `n` vertices are sources, dispatched through
-    /// the configured driver so answers match offline runs bit-for-bit.
+    /// it on first use. Up to [`ENGINE_MAX_VERTICES`] this builds the
+    /// maintenance engine; above it, all `n` sources are streamed
+    /// through the kernel.
     pub fn full_bc(&self) -> Arc<Vec<f64>> {
         let graph = {
             let inner = self.lock();
@@ -145,29 +151,22 @@ impl EpochStore {
         };
         // Compute outside the lock: only the worker calls this, and the
         // session threads must keep answering Hello/Stats meanwhile.
-        if self.incr_admissible(graph.num_vertices()) {
-            // First full-BC of this store's lifetime on a cacheable
-            // graph: build the maintenance engine (bit-identical to the
-            // driver by the mrbc-incr determinism contract) so later
-            // mutations can reuse unaffected per-source artifacts.
-            let engine = IncrEngine::build(&graph);
-            let result = Arc::new(engine.bc().to_vec());
-            let mut inner = self.lock();
-            // A concurrent mutation may have swapped the graph while we
-            // computed; only publish if the graph is still the one we
-            // used.
-            if Arc::ptr_eq(&inner.graph, &graph) {
-                inner.full_bc = Some(Arc::clone(&result));
-                inner.incr = Some(engine);
-            }
-            return result;
-        }
-        let sources: Vec<VertexId> = (0..graph.num_vertices() as VertexId).collect();
-        let result = Arc::new(bc(&graph, &sources, &self.cfg).bc);
+        let n = graph.num_vertices();
+        let engine = (n > 0 && n <= ENGINE_MAX_VERTICES).then(|| IncrEngine::build(&graph));
+        let result = Arc::new(match &engine {
+            Some(engine) => engine.bc().to_vec(),
+            None => canonical_bc(&graph, &(0..n as VertexId).collect::<Vec<_>>()),
+        });
         let mut inner = self.lock();
-        // Same publish guard as above.
+        // A concurrent mutation may have swapped the graph while we
+        // computed; only publish if the graph is still the one we used.
         if Arc::ptr_eq(&inner.graph, &graph) {
             inner.full_bc = Some(Arc::clone(&result));
+            if engine.is_some() {
+                // The engine holds every source's forward artifacts now.
+                inner.forward.clear();
+                inner.incr = engine;
+            }
         }
         result
     }
@@ -177,42 +176,56 @@ impl EpochStore {
         postprocess::top_k(&self.full_bc(), k)
     }
 
-    /// Forward artifacts `(dist, σ)` of `s` for the current epoch,
-    /// computing (and caching) them on first use.
+    /// Forward artifacts `(dist, σ)` of `s` for the current epoch: the
+    /// engine's own copy when it is resident, else a forward pass cached
+    /// within [`FORWARD_CACHE_BYTES`].
     pub fn forward(&self, s: VertexId) -> ForwardArtifacts {
         let graph = {
-            let mut inner = self.lock();
+            let inner = self.lock();
+            if let Some(engine) = &inner.incr {
+                return engine.shared_source(s);
+            }
             if let Some(fw) = inner.forward.get(&s) {
                 return Arc::clone(fw);
             }
-            if let Some(engine) = &inner.incr {
-                // The maintenance engine already holds this source's
-                // forward artifacts (bitwise equal to a fresh BFS on the
-                // current graph); publish a copy instead of re-running.
-                let art = engine.source(s);
-                let result = Arc::new((art.dist.clone(), art.sigma.clone()));
-                inner.forward.insert(s, Arc::clone(&result));
-                return result;
-            }
             Arc::clone(&inner.graph)
         };
-        let result = Arc::new(brandes::forward_counts(&graph, s));
+        let (dist, sigma) = brandes::forward_counts(&graph, s);
+        let result = Arc::new(SourceArtifacts {
+            dist,
+            sigma,
+            delta: Vec::new(),
+        });
         let mut inner = self.lock();
-        if Arc::ptr_eq(&inner.graph, &graph) {
-            inner.forward.insert(s, Arc::clone(&result));
+        if Arc::ptr_eq(&inner.graph, &graph) && inner.incr.is_none() {
+            // Evict until the new entry fits; one larger than the whole
+            // budget is not cached at all.
+            let cap = FORWARD_CACHE_BYTES / forward_entry_bytes(graph.num_vertices()).max(1);
+            while inner.forward.len() >= cap && inner.forward.pop_first().is_some() {}
+            if cap > 0 {
+                inner.forward.insert(s, Arc::clone(&result));
+            }
         }
         result
     }
 
     /// Subset-source BC: scores accumulated from `sources` only
-    /// (canonicalized — sorted, deduplicated — before dispatch, so
-    /// duplicate or shuffled source lists cannot double-count).
+    /// (canonicalized — sorted, deduplicated — first, so duplicate or
+    /// shuffled source lists cannot double-count). A fold of the
+    /// engine's cached δ rows when it is resident, else a stream of the
+    /// sources through the kernel.
     pub fn subset_bc(&self, sources: &[VertexId]) -> Vec<f64> {
         let mut canon = sources.to_vec();
         canon.sort_unstable();
         canon.dedup();
-        let graph = Arc::clone(&self.lock().graph);
-        bc(&graph, &canon, &self.cfg).bc
+        let graph = {
+            let inner = self.lock();
+            if let Some(engine) = &inner.incr {
+                return engine.subset_bc(&canon);
+            }
+            Arc::clone(&inner.graph)
+        };
+        canonical_bc(&graph, &canon)
     }
 
     /// Applies an edge mutation. `applied` is false when the mutation
@@ -220,10 +233,8 @@ impl EpochStore {
     /// insert — the builder drops self-loops, so claiming success would
     /// desynchronize the epoch). On success the CSR is rebuilt, the
     /// epoch bumped, and the caches either *maintained* (when the
-    /// incremental engine is resident: affected sources rebuilt, BC
-    /// re-folded, forward artifacts repopulated lazily from the engine)
-    /// or dropped (engine never built / disabled / over the cache
-    /// bound). Either way, pinned readers of the old epoch turn `Stale`
+    /// engine is resident: affected sources rebuilt, BC re-folded) or
+    /// dropped. Either way, pinned readers of the old epoch turn `Stale`
     /// and fresh reads are bit-identical to a from-scratch recompute.
     pub fn mutate(&self, op: MutateOp, u: VertexId, v: VertexId) -> MutationOutcome {
         let (engine, graph, epoch) = {
@@ -267,7 +278,7 @@ impl EpochStore {
             MutateOp::AddEdge => EdgeOp::Add,
             MutateOp::RemoveEdge => EdgeOp::Remove,
         };
-        let outcome = engine.apply(&graph, edge_op, u, v, &self.incr_cfg);
+        let outcome = engine.apply(&graph, edge_op, u, v, &IncrConfig::default());
         let fresh_bc = Arc::new(engine.bc().to_vec());
         let mut inner = self.lock();
         // Same publish guard as the compute paths: only the scheduler
@@ -288,6 +299,7 @@ impl EpochStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrbc_core::bc;
     use mrbc_graph::generators;
 
     fn store() -> EpochStore {
@@ -344,8 +356,8 @@ mod tests {
         let s = store();
         let fw = s.forward(0);
         let (dist, sigma) = brandes::forward_counts(&s.graph(), 0);
-        assert_eq!(fw.0, dist);
-        assert_eq!(fw.1, sigma);
+        assert_eq!(fw.dist, dist);
+        assert_eq!(fw.sigma, sigma);
         assert!(Arc::ptr_eq(&s.forward(0), &s.forward(0)));
         // Distinct sources get distinct entries.
         assert!(!Arc::ptr_eq(&s.forward(0), &s.forward(1)));
@@ -386,29 +398,22 @@ mod tests {
         // engine, matching a fresh BFS bitwise.
         let fw = s.forward(1);
         let (dist, sigma) = brandes::forward_counts(&s.graph(), 1);
-        assert_eq!((&fw.0, &fw.1), (&dist, &sigma));
+        assert_eq!((&fw.dist, &fw.sigma), (&dist, &sigma));
     }
 
+    /// With the engine resident, `forward` hands out the engine's own
+    /// artifacts: the forward-only cache stays empty, and the cached
+    /// entries from before the engine existed are dropped.
     #[test]
-    fn disabled_maintenance_restores_drop_and_recompute() {
-        let g = GraphBuilder::new(4)
-            .edges([(0, 1), (1, 2), (2, 3), (0, 2)])
-            .build();
-        let s = EpochStore::with_incr(
-            g,
-            BcConfig::default(),
-            IncrConfig {
-                enabled: false,
-                ..IncrConfig::default()
-            },
-        );
+    fn resident_engine_forward_shares_its_one_copy() {
+        let s = store();
+        let _ = s.forward(2);
+        assert_eq!(s.forward_cache_bytes(), 4 * 12);
         let _ = s.full_bc();
-        let out = s.mutate(MutateOp::AddEdge, 3, 0);
-        assert!(out.applied && out.maintenance.is_none());
-        let sources: Vec<VertexId> = (0..4).collect();
-        assert_eq!(
-            *s.full_bc(),
-            bc(&s.graph(), &sources, &BcConfig::default()).bc
-        );
+        assert_eq!(s.forward_cache_bytes(), 0);
+        let fw = s.forward(2);
+        assert!(Arc::ptr_eq(&fw, &s.forward(2)));
+        assert_eq!(s.forward_cache_bytes(), 0);
+        assert_eq!(fw.delta.len(), 4, "the engine's artifacts carry δ");
     }
 }
